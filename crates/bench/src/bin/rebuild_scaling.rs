@@ -1,7 +1,8 @@
 //! Rebuild time vs. pool size: rotation vs. declustered placement.
 //!
-//! The physics being measured: with one transmission [`radd_net::Wire`] per pool
-//! site (`set_pool_wires`), every reconstruction read serialises on the
+//! The physics being measured: with one transmission wire per pool site
+//! ([`set_pool_wires`](radd_node::ShardedNodeCluster::set_pool_wires)),
+//! every reconstruction read serialises on the
 //! survivor that serves it, so a rebuild's wall clock is the *maximum
 //! per-site read load* times the wire latency. The §4 greedy carves a
 //! uniform wide pool into disjoint `G + 2`-site clusters, so however many

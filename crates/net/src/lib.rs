@@ -1,40 +1,31 @@
 //! # radd-net — the network substrate
 //!
 //! Section 3 assumes a reliable network; Section 5 then relaxes that to
-//! cover **lost messages** and **network partitions**. This crate provides
-//! both worlds:
+//! cover **lost messages** and **network partitions**. Reliability itself
+//! is the protocol's job — the sans-IO site machine retransmits unacked
+//! parity updates stop-and-wait and the client retries on an attempt
+//! ladder — so this crate holds only what those layers run on:
 //!
 //! * [`stats::NetStats`] — byte and message accounting, the basis of the
 //!   §7.4 bandwidth comparison (change-mask traffic vs disk bandwidth).
-//! * [`link::LossyLink`] — a point-to-point link on the simulation clock
-//!   with configurable latency, loss probability and a partition switch.
-//! * [`reliable::ReliableChannel`] — sequence numbers, acknowledgements,
-//!   retransmission and receiver-side dedup over a lossy link. This is the
-//!   machinery behind §5's commit conditions: "the messages updating the
-//!   parity block … have been received at the various parity sites" before
-//!   a transaction commits.
 //! * [`partition::PartitionMap`] — group membership during a partition and
 //!   the §5 classification: a `G+1`/`1` split looks like a single site
 //!   failure and the majority side proceeds; anything else must block.
-//! * [`threaded`] — a crossbeam-channel network for the threaded cluster
-//!   runtime (real concurrency rather than virtual time), with silent
-//!   message-loss injection and a wall-clock
-//!   [`threaded::ReliableChannel`] retransmission tracker mirroring the
-//!   simulated one.
+//! * [`retry::RetryPolicy`] — the backoff schedules every wall-clock
+//!   runtime retries on.
+//! * [`threaded`] — a crossbeam-channel network for the threaded runtime
+//!   (real concurrency rather than virtual time), with silent message-loss
+//!   injection, partitions, and modelled wire time ([`Wire`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod link;
 pub mod partition;
-pub mod reliable;
 pub mod retry;
 pub mod stats;
 pub mod threaded;
 
-pub use link::{Delivery, LinkConfig, LossyLink};
 pub use partition::{PartitionMap, PartitionVerdict};
-pub use reliable::ReliableChannel;
 pub use retry::RetryPolicy;
 pub use stats::NetStats;
 pub use threaded::{ThreadedEndpoint, ThreadedNet, Wire};

@@ -1,8 +1,8 @@
 //! The retransmission timing policy shared by every wall-clock runtime.
 //!
-//! Three layers retry with backoff: the threaded runtime's per-site
-//! stop-and-wait retransmitter, its client attempt ladder, and the socket
-//! runtime's counterparts. Before this module each hard-coded its own
+//! Three layers retry with backoff: the site's stop-and-wait parity
+//! retransmitter, the client attempt ladder, and the socket endpoint's
+//! redial. Before this module each hard-coded its own
 //! base/cap constants; tuning one (say, for real network RTTs instead of
 //! in-process channels) silently left the others behind. A [`RetryPolicy`]
 //! is the whole schedule as one injectable value — drivers ask it for

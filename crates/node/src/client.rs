@@ -1,25 +1,24 @@
-//! The client library: a [`ClientMachine`] bound to a real endpoint.
+//! The client library: a [`ClientMachine`] bound to any [`Transport`].
 //!
 //! All §3.2/§3.3 client logic — degraded reads via spare or validated
 //! reconstruction, W1' redirected writes, the recovery drain — lives in
 //! [`radd_protocol::ClientMachine`]. This module supplies its
-//! [`ClientIo`]: requests are retried with a growing per-attempt timeout
-//! before the client gives up, so lost messages (see
-//! [`radd_net::ThreadedNet::set_loss`]) delay operations instead of
-//! failing them. Every request the client can resend is idempotent on the
-//! receiving site: reads and probes trivially, `SpareInstall` and
-//! `RestoreBlock` by overwriting with identical contents, `ParityUpdate`
-//! by the parity site's UID comparison, duplicates of anything else by the
-//! site's reply cache. The one destructive request, `SpareTake`, is only
-//! issued *after* the block it covers has been restored, so a lost reply
-//! costs nothing.
+//! [`ClientIo`], [`RetryIo`]: requests are retried with a growing
+//! per-attempt timeout before the client gives up, so lost messages (see
+//! [`crate::Network::set_loss`]) delay operations instead of failing them.
+//! Every request the client can resend is idempotent on the receiving
+//! site: reads and probes trivially, `SpareInstall` and `RestoreBlock` by
+//! overwriting with identical contents, `ParityUpdate` by the parity
+//! site's UID comparison, duplicates of anything else by the site's reply
+//! cache. The one destructive request, `SpareTake`, is only issued *after*
+//! the block it covers has been restored, so a lost reply costs nothing.
 //!
 //! Two degraded-path rules keep retries from compounding:
 //!
-//! * a send onto a **closed** channel fails the request immediately — a
-//!   disconnected endpoint can never answer, so burning the timeout ladder
-//!   only adds latency (a *partitioned* link keeps retrying: partitions
-//!   heal);
+//! * a send the transport reports [`SendOutcome::Closed`] fails the
+//!   request immediately — a destination that does not exist can never
+//!   answer, so burning the timeout ladder only adds latency (a
+//!   *partitioned* link or a failed dial keeps retrying: both heal);
 //! * a batch ([`ClientIo::exchange_batch`]) shares **one** attempt budget
 //!   per site across all of its entries, and short-circuits the remaining
 //!   entries for a site that already exhausted it — a G-way degraded read
@@ -27,11 +26,11 @@
 //!
 //! Every wire attempt, retransmission, stash eviction and failed send is
 //! recorded in a per-client [`radd_obs::MachineObs`]; see
-//! [`NodeClient::obs_snapshot`].
+//! [`Client::obs_snapshot`].
 
 use crate::message::Msg;
-use radd_net::threaded::NetError;
-use radd_net::{RetryPolicy, ThreadedEndpoint};
+use crate::transport::{Incoming, SendOutcome, Transport};
+use radd_net::RetryPolicy;
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_parity::xor_in_place;
 use radd_protocol::obs::ObsEvent;
@@ -43,11 +42,14 @@ use std::time::{Duration, Instant};
 
 /// §3.3 retry budget for inconsistent reconstruction reads.
 const RECONSTRUCT_RETRIES: u32 = 20;
+/// Back-off before retrying an operation whose reconstruction raced a
+/// parity update.
+const INCONSISTENT_BACKOFF: Duration = Duration::from_millis(5);
 /// Replies stashed beyond this count have their oldest entries dropped
 /// (stale duplicates, e.g. a second `WriteOk` from a retransmitted write).
 const STASH_CAP: usize = 512;
 /// Tag-space bit marking requests minted outside the protocol machine
-/// (oracle sweeps like [`NodeClient::verify_parity`]).
+/// (oracle sweeps like [`Client::verify_parity`]).
 const ORACLE_TAG_BIT: u64 = 1 << 46;
 /// Client UID namespaces count *down* from `u16::MAX` while site machines
 /// count *up* from their site id. This cap keeps the two pools provably
@@ -117,37 +119,27 @@ impl From<ClientErr> for ClientError {
     }
 }
 
-/// What became of one send attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendResult {
-    /// On the wire (or silently dropped by loss injection / refused by a
-    /// partition — both of which retries are for).
-    Sent,
-    /// The channel is closed or the destination does not exist; no retry
-    /// can ever succeed.
-    Closed,
-}
-
-/// The machine's transport: request/reply over a threaded endpoint with
-/// retry and backoff.
-struct NetIo {
-    ep: ThreadedEndpoint<Msg>,
+/// The machine's transport: request/reply over an endpoint with retry and
+/// backoff.
+pub struct RetryIo<T> {
+    ep: T,
     ep_base: usize,
     /// Replies that arrived while we were waiting for a different tag —
     /// fan-out responses come back in arbitrary order.
     stash: HashMap<u64, Msg>,
     stash_order: VecDeque<u64>,
-    /// Attempt-ladder tuning — [`RetryPolicy::CLIENT_ATTEMPT`] in
-    /// production; tests inject shrunken schedules.
+    /// Attempt-ladder tuning — [`RetryPolicy::CLIENT_ATTEMPT`] by default.
     policy: RetryPolicy,
     stash_cap: usize,
     /// Per-client metrics + flight recorder.
     obs: MachineObs,
 }
 
-impl NetIo {
-    fn new(ep: ThreadedEndpoint<Msg>, ep_base: usize) -> NetIo {
-        NetIo {
+impl<T: Transport> RetryIo<T> {
+    /// Request/reply over `ep`, whose cluster's site 0 is endpoint
+    /// `ep_base`.
+    pub fn new(ep: T, ep_base: usize) -> RetryIo<T> {
+        RetryIo {
             ep,
             ep_base,
             stash: HashMap::new(),
@@ -158,19 +150,23 @@ impl NetIo {
         }
     }
 
-    /// The wait window for a site's `k`-th attempt (0-based): the policy's
-    /// geometric schedule.
-    fn attempt_window(&self, k: u32) -> Duration {
-        self.policy.delay(k)
+    /// Replace the attempt ladder (tests shrink it).
+    pub fn set_policy(&mut self, policy: RetryPolicy) {
+        self.policy = policy;
     }
 
-    /// A stashed reply for `tag`, if one already arrived out of band.
-    fn take_stashed(&mut self, tag: u64) -> Option<Msg> {
-        self.stash.remove(&tag)
+    /// Bound the out-of-order reply stash to `cap` entries.
+    pub fn set_stash_cap(&mut self, cap: usize) {
+        self.stash_cap = cap;
+    }
+
+    /// Freeze the metrics and flight recorder.
+    pub fn obs_snapshot(&self) -> MachineSnapshot {
+        self.obs.snapshot("client")
     }
 
     /// One wire attempt: record it, send it, classify the outcome.
-    fn send_attempt(&mut self, site: usize, msg: &Msg, retransmit: bool) -> SendResult {
+    fn send_attempt(&mut self, site: usize, msg: &Msg, retransmit: bool) -> SendOutcome {
         self.obs.event(ObsEvent::Send {
             to: Dest::Site(site),
             kind: msg.kind(),
@@ -179,19 +175,11 @@ impl NetIo {
             retransmit,
             replay: false,
         });
-        match self.ep.send(self.ep_base + site, msg.clone()) {
-            Ok(()) => SendResult::Sent,
-            Err(NetError::Disconnected) | Err(NetError::NoSuchSite(_)) => {
-                self.obs.metrics().send_failure();
-                SendResult::Closed
-            }
-            // A partitioned link refuses the send but may heal before the
-            // ladder is spent — keep retrying, exactly like silent loss.
-            Err(NetError::Partitioned) | Err(NetError::Timeout) => {
-                self.obs.metrics().send_failure();
-                SendResult::Sent
-            }
+        let out = self.ep.send(self.ep_base + site, msg.clone());
+        if out == SendOutcome::Closed {
+            self.obs.metrics().send_failure();
         }
+        out
     }
 
     /// Wait for the reply carrying `tag`. Replies to *other* outstanding
@@ -207,21 +195,24 @@ impl NetIo {
             if left.is_zero() {
                 return None;
             }
-            match self.ep.recv_timeout(left) {
-                Ok(inbound) if inbound.payload.tag() == tag => return Some(inbound.payload),
-                Ok(other) => {
-                    let t = other.payload.tag();
-                    if self.stash.insert(t, other.payload).is_none() {
-                        self.stash_order.push_back(t);
-                        if self.stash_order.len() > self.stash_cap {
-                            if let Some(old) = self.stash_order.pop_front() {
-                                self.stash.remove(&old);
-                                self.obs.metrics().stash_eviction();
-                            }
-                        }
+            let msg = match self.ep.recv_timeout(left)? {
+                Incoming::Proto { msg, .. } => msg,
+                // Clients never listen, so a control command can only be
+                // a stray — drop it rather than letting it eat the window.
+                Incoming::Control(_) => continue,
+            };
+            let t = msg.tag();
+            if t == tag {
+                return Some(msg);
+            }
+            if self.stash.insert(t, msg).is_none() {
+                self.stash_order.push_back(t);
+                if self.stash_order.len() > self.stash_cap {
+                    if let Some(old) = self.stash_order.pop_front() {
+                        self.stash.remove(&old);
+                        self.obs.metrics().stash_eviction();
                     }
                 }
-                Err(_) => return None,
             }
         }
     }
@@ -229,14 +220,14 @@ impl NetIo {
     /// Send `msg` to `site`, retrying with exponential backoff until a
     /// reply arrives or the attempt budget is spent. All retried requests
     /// are idempotent at the receiver (see the module docs). A closed
-    /// channel fails immediately — no answer can ever arrive on it.
-    fn request(&mut self, site: usize, msg: &Msg) -> Option<Msg> {
+    /// destination fails immediately — no answer can ever arrive from it.
+    pub fn request(&mut self, site: usize, msg: &Msg) -> Option<Msg> {
         let tag = msg.tag();
         for k in 0..self.policy.attempts {
-            if self.send_attempt(site, msg, k > 0) == SendResult::Closed {
-                return self.take_stashed(tag);
+            if self.send_attempt(site, msg, k > 0) == SendOutcome::Closed {
+                return self.stash.remove(&tag);
             }
-            if let Some(reply) = self.wait(tag, self.attempt_window(k)) {
+            if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
                 return Some(reply);
             }
         }
@@ -244,7 +235,7 @@ impl NetIo {
     }
 }
 
-impl ClientIo for NetIo {
+impl<T: Transport> ClientIo for RetryIo<T> {
     fn exchange(&mut self, site: usize, msg: Msg, _background: bool) -> Result<Msg, ClientErr> {
         self.request(site, &msg).ok_or(ClientErr::Timeout { site })
     }
@@ -276,7 +267,7 @@ impl ClientIo for NetIo {
             if dead.contains(site) {
                 continue;
             }
-            if self.send_attempt(*site, msg, false) == SendResult::Closed {
+            if self.send_attempt(*site, msg, false) == SendOutcome::Closed {
                 dead.insert(*site);
             }
         }
@@ -284,7 +275,7 @@ impl ClientIo for NetIo {
             .map(|(site, msg)| {
                 let tag = msg.tag();
                 // Served while an earlier entry was waiting?
-                if let Some(reply) = self.take_stashed(tag) {
+                if let Some(reply) = self.stash.remove(&tag) {
                     return Ok(reply);
                 }
                 if dead.contains(&site) {
@@ -299,11 +290,11 @@ impl ClientIo for NetIo {
                     // The first window (`k == 0`) rides on the pipelined
                     // send above; a window only opens with a resend after
                     // an earlier one expired (idempotent at the receiver).
-                    if k > 0 && self.send_attempt(site, &msg, true) == SendResult::Closed {
+                    if k > 0 && self.send_attempt(site, &msg, true) == SendOutcome::Closed {
                         dead.insert(site);
-                        return self.take_stashed(tag).ok_or(ClientErr::Timeout { site });
+                        return self.stash.remove(&tag).ok_or(ClientErr::Timeout { site });
                     }
-                    if let Some(reply) = self.wait(tag, self.attempt_window(k)) {
+                    if let Some(reply) = self.wait(tag, self.policy.delay(k)) {
                         // The site is alive: refill its budget so the rest
                         // of the batch gets full ladders too.
                         used.insert(site, 0);
@@ -314,32 +305,30 @@ impl ClientIo for NetIo {
             })
             .collect()
     }
-    // old_value stays `None`: this runtime has no buffer-pool oracle, so
-    // degraded writes fetch the old value through the protocol.
+    // old_value stays `None`: the real runtimes have no buffer-pool
+    // oracle, so degraded writes fetch the old value through the protocol.
 }
 
-/// The cluster client.
-pub struct NodeClient {
+/// The cluster client: a [`ClientMachine`] over a [`RetryIo`].
+pub struct Client<T> {
     machine: ClientMachine,
-    io: NetIo,
+    io: RetryIo<T>,
     block_size: usize,
     /// Tag counter for oracle sweeps issued outside the machine.
     next_oracle_tag: u64,
 }
 
-impl NodeClient {
-    pub(crate) fn new(
-        ep: ThreadedEndpoint<Msg>,
-        ep_base: usize,
-        g: usize,
-        rows: u64,
-        block_size: usize,
-    ) -> NodeClient {
+impl<T: Transport> Client<T> {
+    /// Bind a client to `ep` for a `g`-site group with `rows` block rows of
+    /// `block_size` bytes, whose site 0 is endpoint `ep_base`.
+    pub fn new(ep: T, ep_base: usize, g: usize, rows: u64, block_size: usize) -> Client<T> {
         // Every client mints UIDs from its own namespace keyed by its
-        // endpoint id, so concurrent clients never collide. Any "local
-        // system" may mint UIDs, per §3.2 — uniqueness is all that matters.
+        // endpoint id, so concurrent clients never collide, and clients of
+        // different runtimes on the same endpoint id agree (a precondition
+        // for byte-identical differential traces). Any "local system" may
+        // mint UIDs, per §3.2 — uniqueness is all that matters.
         let uid_namespace = client_uid_namespace(ep.id());
-        NodeClient {
+        Client {
             machine: ClientMachine::new(
                 g,
                 rows,
@@ -348,10 +337,20 @@ impl NodeClient {
                 true,
                 uid_namespace,
             ),
-            io: NetIo::new(ep, ep_base),
+            io: RetryIo::new(ep, ep_base),
             block_size,
             next_oracle_tag: 0,
         }
+    }
+
+    /// Salt request tags with a restart incarnation (see
+    /// [`ClientMachine::set_incarnation`]): standalone client processes
+    /// must call this with something unique per start, or a site's
+    /// at-most-once reply cache will replay answers meant for the previous
+    /// process on the same endpoint id. Cluster harnesses, whose clients
+    /// live as long as the sites, keep the default incarnation 0.
+    pub fn set_incarnation(&mut self, incarnation: u64) {
+        self.machine.set_incarnation(incarnation);
     }
 
     /// Tell the machine `site` is believed down (or back up). In a real
@@ -384,47 +383,45 @@ impl NodeClient {
     /// Freeze this client's metrics and flight recorder. Latency
     /// histograms hold wall-clock nanoseconds per completed operation.
     pub fn obs_snapshot(&self) -> MachineSnapshot {
-        self.io.obs.snapshot("client")
+        self.io.obs_snapshot()
+    }
+
+    /// Run `op` until its reconstruction stops racing parity updates.
+    /// §3.3: an inconsistent reconstruction means a parity update is in
+    /// flight; back off and retry the whole operation.
+    fn retry_inconsistent<R>(
+        &mut self,
+        mut op: impl FnMut(&mut ClientMachine, &mut RetryIo<T>) -> Result<R, ClientErr>,
+    ) -> Result<R, ClientError> {
+        for _ in 0..RECONSTRUCT_RETRIES {
+            match op(&mut self.machine, &mut self.io) {
+                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(INCONSISTENT_BACKOFF),
+                done => return done.map_err(ClientError::from),
+            }
+        }
+        Err(ClientError::Inconsistent)
     }
 
     /// Read the `index`-th data block of `site`.
     pub fn read(&mut self, site: usize, index: u64) -> Result<Vec<u8>, ClientError> {
         let started = Instant::now();
-        // §3.3: an inconsistent reconstruction means a parity update is in
-        // flight; back off and retry the whole degraded read.
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.read(&mut self.io, site, index) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(b) => {
-                    self.io
-                        .obs
-                        .metrics()
-                        .record_read_latency(started.elapsed().as_nanos() as u64);
-                    return Ok(b.to_vec());
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        let block = self.retry_inconsistent(|m, io| m.read(io, site, index).map(|b| b.to_vec()))?;
+        self.io
+            .obs
+            .metrics()
+            .record_read_latency(started.elapsed().as_nanos() as u64);
+        Ok(block)
     }
 
     /// Write the `index`-th data block of `site`.
     pub fn write(&mut self, site: usize, index: u64, data: &[u8]) -> Result<(), ClientError> {
         let started = Instant::now();
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.write(&mut self.io, site, index, data) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(()) => {
-                    self.io
-                        .obs
-                        .metrics()
-                        .record_write_latency(started.elapsed().as_nanos() as u64);
-                    return Ok(());
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        self.retry_inconsistent(|m, io| m.write(io, site, index, data))?;
+        self.io
+            .obs
+            .metrics()
+            .record_write_latency(started.elapsed().as_nanos() as u64);
+        Ok(())
     }
 
     /// Recovery drain for a revived site (§3.2's background process, driven
@@ -449,22 +446,12 @@ impl NodeClient {
     /// `Inconsistent` fold (a parity update racing the rebuild) retries the
     /// whole pass cheaply.
     pub fn rebuild(&mut self, site: usize, wave_rows: usize) -> Result<RebuildReport, ClientError> {
-        for _ in 0..RECONSTRUCT_RETRIES {
-            match self.machine.rebuild_member(&mut self.io, site, wave_rows) {
-                Err(ClientErr::Inconsistent { .. }) => std::thread::sleep(Duration::from_millis(5)),
-                Ok(report) => {
-                    let m = self.io.obs.metrics();
-                    m.rebuild_run();
-                    m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
-                    m.set_rebuild_fanout(
-                        report.peer_reads.iter().filter(|&&n| n > 0).count() as u64
-                    );
-                    return Ok(report);
-                }
-                Err(e) => return Err(ClientError::from(e)),
-            }
-        }
-        Err(ClientError::Inconsistent)
+        let report = self.retry_inconsistent(|m, io| m.rebuild_member(io, site, wave_rows))?;
+        let m = self.io.obs.metrics();
+        m.rebuild_run();
+        m.add_rebuild(report.blocks_rebuilt, report.bytes_xored);
+        m.set_rebuild_fanout(report.peer_reads.iter().filter(|&&n| n > 0).count() as u64);
+        Ok(report)
     }
 
     fn oracle_tag(&mut self) -> u64 {
@@ -508,10 +495,13 @@ impl NodeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radd_net::ThreadedNet;
 
     #[test]
     fn client_uid_namespaces_are_distinct_and_disjoint_from_sites() {
+        // Clients of every runtime on the same endpoint id must mint from
+        // the same namespace for differential traces to agree.
+        assert_eq!(client_uid_namespace(0), u16::MAX);
+        assert_eq!(client_uid_namespace(1), u16::MAX - 1);
         let mut seen = HashSet::new();
         for ep_id in 0..64 {
             let ns = client_uid_namespace(ep_id);
@@ -536,180 +526,5 @@ mod tests {
     #[should_panic(expected = "UID namespace")]
     fn endpoint_ids_beyond_the_pool_are_refused() {
         let _ = client_uid_namespace(MAX_CLIENT_NAMESPACES);
-    }
-
-    /// A deaf cluster: endpoints exist (sends succeed) but nothing ever
-    /// replies — the worst case for retry ladders.
-    fn deaf_io(sites: usize) -> NetIo {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(1 + sites);
-        // Keep the net handle alive inside the endpoint's lifetime by
-        // leaking it: dropping it would close channels and turn timeouts
-        // into instant Disconnected errors, which is not the case under
-        // test here.
-        std::mem::forget(net);
-        std::mem::forget(eps.split_off(1));
-        NetIo::new(eps.remove(0), 1)
-    }
-
-    #[test]
-    fn batch_against_a_dead_site_shares_one_attempt_budget() {
-        let mut io = deaf_io(2);
-        io.policy = RetryPolicy {
-            base_ms: 20,
-            numer: 3,
-            denom: 2,
-            cap_ms: 30,
-            attempts: 3,
-        };
-        // 6 batch entries all target dead site 0. The shared budget means
-        // one ladder (20 + 30 + 30 ms), not six.
-        let reqs: Vec<(usize, Msg)> = (0..6)
-            .map(|i| (0usize, Msg::BlockRead { row: i, tag: i }))
-            .collect();
-        let started = Instant::now();
-        let replies = io.exchange_batch(reqs, false);
-        let elapsed = started.elapsed();
-        assert!(replies
-            .iter()
-            .all(|r| matches!(r, Err(ClientErr::Timeout { site: 0 }))));
-        // One full ladder is 80 ms; six serial ladders would be 480 ms.
-        // Allow generous slack for a loaded machine while still proving
-        // the budget is shared.
-        assert!(
-            elapsed < Duration::from_millis(300),
-            "batch against a dead site took {elapsed:?}; the attempt budget \
-             is being spent per entry instead of per site"
-        );
-        let snap = io.obs.snapshot("client");
-        assert_eq!(
-            snap.metrics.retransmits, 2,
-            "3-attempt budget = 1 batched send + 2 retransmissions, shared \
-             across the whole batch"
-        );
-    }
-
-    /// A fake site that collects `batch` requests, acknowledges them in
-    /// *reverse* order (forcing the client to stash the later tags), then
-    /// echoes an ack for anything else that arrives (retransmissions).
-    fn reversing_site(ep: ThreadedEndpoint<Msg>, batch: usize) {
-        std::thread::spawn(move || {
-            let mut first: Vec<(usize, u64)> = Vec::new();
-            while first.len() < batch {
-                match ep.recv_timeout(Duration::from_secs(5)) {
-                    Ok(m) => first.push((m.src, m.payload.tag())),
-                    Err(_) => return,
-                }
-            }
-            for &(src, tag) in first.iter().rev() {
-                let _ = ep.send(src, Msg::Ack { tag });
-            }
-            while let Ok(m) = ep.recv_timeout(Duration::from_secs(2)) {
-                let _ = ep.send(
-                    m.src,
-                    Msg::Ack {
-                        tag: m.payload.tag(),
-                    },
-                );
-            }
-        });
-    }
-
-    /// A batch far wider than the attempt budget, all to one *healthy*
-    /// site, must succeed entry for entry with zero retransmissions. The
-    /// per-site budget once counted successful waits: entry thirteen of a
-    /// wide recovery-drain wave got an instant synthesised `Timeout` even
-    /// though the site answered everything (and entries two onward were
-    /// spuriously resent as retransmissions).
-    #[test]
-    fn wide_batch_to_a_healthy_site_outlives_the_attempt_budget() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let client_ep = eps.remove(0);
-        reversing_site(eps.remove(0), 0); // pure echo: acks as requests arrive
-        let mut io = NetIo::new(client_ep, 1);
-        let width = io.policy.attempts as u64 * 3;
-        let reqs: Vec<(usize, Msg)> = (0..width)
-            .map(|i| {
-                (
-                    0usize,
-                    Msg::BlockRead {
-                        row: i,
-                        tag: 200 + i,
-                    },
-                )
-            })
-            .collect();
-        let replies = io.exchange_batch(reqs, false);
-        for (i, r) in replies.iter().enumerate() {
-            match r {
-                Ok(m) => assert_eq!(m.tag(), 200 + i as u64),
-                Err(e) => panic!("entry {i} of a healthy wide batch failed: {e:?}"),
-            }
-        }
-        let snap = io.obs.snapshot("client");
-        assert_eq!(
-            snap.metrics.retransmits, 0,
-            "a healthy site answered every pipelined request; nothing to resend"
-        );
-        drop(net);
-    }
-
-    #[test]
-    fn stash_eviction_of_a_batch_reply_converges_by_retransmission() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let client_ep = eps.remove(0);
-        reversing_site(eps.remove(0), 3);
-        let mut io = NetIo::new(client_ep, 1);
-        // One stash slot: when the replies for tags 101 and 102 both land
-        // while entry 100 is being awaited, 102's reply is evicted even
-        // though its batch entry is still outstanding.
-        io.stash_cap = 1;
-        io.policy.base_ms = 50;
-        let reqs: Vec<(usize, Msg)> = (0..3)
-            .map(|i| {
-                (
-                    0usize,
-                    Msg::BlockRead {
-                        row: i,
-                        tag: 100 + i,
-                    },
-                )
-            })
-            .collect();
-        let replies = io.exchange_batch(reqs, false);
-        for (i, r) in replies.iter().enumerate() {
-            match r {
-                Ok(m) => assert_eq!(m.tag(), 100 + i as u64),
-                Err(e) => panic!("entry {i} failed: {e:?}"),
-            }
-        }
-        let snap = io.obs.snapshot("client");
-        assert_eq!(
-            snap.metrics.stash_evictions, 1,
-            "the reply for tag 102 must have been evicted from the 1-slot stash"
-        );
-        assert_eq!(
-            snap.metrics.retransmits, 1,
-            "recovering the evicted reply takes exactly one retransmission"
-        );
-        drop(net);
-    }
-
-    #[test]
-    fn request_fails_fast_when_the_channel_is_closed() {
-        let (net, mut eps) = ThreadedNet::<Msg>::new(2);
-        let io_ep = eps.remove(0);
-        drop(eps); // site endpoint gone: its inbox channel closes
-        drop(net);
-        let mut io = NetIo::new(io_ep, 1);
-        io.policy.base_ms = 200;
-        let started = Instant::now();
-        let reply = io.request(0, &Msg::BlockRead { row: 0, tag: 1 });
-        let elapsed = started.elapsed();
-        assert!(reply.is_none());
-        assert!(
-            elapsed < Duration::from_millis(100),
-            "closed channel burned the timeout ladder: {elapsed:?}"
-        );
-        assert_eq!(io.obs.snapshot("client").metrics.send_failures, 1);
     }
 }

@@ -13,7 +13,7 @@
 //! not the CPU — bounds each group's throughput, which is what the
 //! cross-group scaling bench measures.
 
-use crate::client::NodeClient;
+use crate::NodeClient;
 use crate::NodeCluster;
 use radd_layout::{Geometry, GlobalAddr, GroupId, ShardMap, ShardTarget, SiteId};
 use radd_net::Wire;

@@ -1,15 +1,18 @@
 //! The per-site server thread: a [`SiteMachine`] driven by a real event
-//! loop.
+//! loop, over any [`Transport`].
 //!
 //! All protocol logic — W1–W4 deferred acks, the parity UID idempotence
 //! guard, stop-and-wait per-row retransmission, spare slots, the
 //! at-most-once reply cache — lives in [`radd_protocol::SiteMachine`]. This
 //! module owns only what the sans-IO machine cannot: the endpoint, the
-//! wall clock, and the control channel. Each loop iteration
+//! wall clock, and the control plane. Each loop iteration
 //!
 //! 1. drains harness control commands,
 //! 2. fires due retransmit timers into [`SiteMachine::on_timer`],
-//! 3. feeds one inbound message into [`SiteMachine::handle`],
+//! 3. takes one inbound item: a protocol message goes into
+//!    [`SiteMachine::handle`], a control command that arrived over the
+//!    transport (the socket runtime's wire control plane) is served like a
+//!    harness one,
 //!
 //! and interprets the resulting effects: `Send` → endpoint send, `SetTimer`
 //! → an exponential-backoff deadline in the local timer wheel, `ClearTimer`
@@ -18,59 +21,94 @@
 //! in-memory by default, or a durable WAL-backed store when the harness
 //! asks for crash/restart coverage).
 //!
+//! Both control planes answer even while the site is marked down — a down
+//! site is deaf to the protocol, not to its operator.
+//!
 //! Fault harnesses must quiesce a site (wait for its pending table to
 //! drain, via [`Control::QueryPending`]) before killing it: a temporary
 //! failure with an in-doubt parity update would otherwise leave data and
 //! parity divergent, which is the §6 in-doubt-transaction problem the
-//! paper resolves with coordinator logs that this in-memory runtime does
-//! not model.
+//! paper resolves with coordinator logs that this runtime does not model.
 
-use crate::message::Msg;
-use radd_net::{RetryPolicy, ThreadedEndpoint};
+use crate::transport::{Incoming, Transport};
+use radd_net::RetryPolicy;
 use radd_obs::{MachineObs, MachineSnapshot};
 use radd_protocol::{
     trace, CoalescePolicy, Dest, DurableSiteState, Effect, IoPurpose, SiteMachine, TraceEntry,
 };
 use radd_storage::{SiteStore, StorageSpec};
 use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// Retransmission schedule for unacked parity updates — the shared policy,
-/// so the threaded and socket runtimes stay tuned together.
+/// so every runtime stays tuned together.
 const RETRANSMIT: RetryPolicy = RetryPolicy::SITE_RETRANSMIT;
 
-/// Control-plane commands (out of band, from the test harness).
+/// The answer path of a [`Control`] command: a channel back to an
+/// in-process harness, or a frame back to a remote operator.
+pub struct Reply<T>(Box<dyn FnOnce(T) + Send>);
+
+impl<T> Reply<T> {
+    /// A reply delivered by calling `f` with the answer.
+    pub fn new(f: impl FnOnce(T) + Send + 'static) -> Reply<T> {
+        Reply(Box::new(f))
+    }
+
+    /// Deliver the answer.
+    pub fn send(self, value: T) {
+        (self.0)(value);
+    }
+}
+
+impl<T: Send + 'static> From<Sender<T>> for Reply<T> {
+    /// Answer over a channel; a hung-up asker is not an error.
+    fn from(tx: Sender<T>) -> Reply<T> {
+        Reply::new(move |v| {
+            let _ = tx.send(v);
+        })
+    }
+}
+
+impl<T> std::fmt::Debug for Reply<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Reply")
+    }
+}
+
+/// Control-plane commands (out of band, from a harness or an operator).
 #[derive(Debug)]
 pub enum Control {
     /// Mark the site down (refuse protocol messages) or back up. The ack
-    /// channel makes the transition synchronous: the harness knows the
-    /// site has crossed the boundary before it issues further traffic
-    /// (otherwise a revive could be observed *before* the kill, leaving
-    /// the site transiently deaf).
-    SetDown(bool, std::sync::mpsc::Sender<()>),
+    /// makes the transition synchronous: the harness knows the site has
+    /// crossed the boundary before it issues further traffic (otherwise a
+    /// revive could be observed *before* the kill, leaving the site
+    /// transiently deaf).
+    SetDown(bool, Reply<()>),
+    /// Report whether the site is marked down.
+    QueryDown(Reply<bool>),
     /// Report how many writes are still waiting for a parity ack. The
     /// harness polls this to quiesce the cluster before failure injection
     /// or invariant checks.
-    QueryPending(std::sync::mpsc::Sender<usize>),
+    QueryPending(Reply<usize>),
     /// Report whether no request of this site is awaiting an ack
     /// ([`SiteMachine::all_acked`]).
-    QueryAllAcked(std::sync::mpsc::Sender<bool>),
+    QueryAllAcked(Reply<bool>),
     /// Start (`true`) or stop recording the site's normalised effect trace
     /// (for differential tests against the DES interpreter).
-    RecordTrace(bool, std::sync::mpsc::Sender<()>),
+    RecordTrace(bool, Reply<()>),
     /// Hand over the recorded trace, clearing the buffer.
-    TakeTrace(std::sync::mpsc::Sender<Vec<TraceEntry>>),
+    TakeTrace(Reply<Vec<TraceEntry>>),
     /// Freeze and hand over the site's metrics + flight-recorder snapshot.
-    /// Served from the control drain, so it works even while the site is
-    /// marked down — exactly when the flight recorder is most interesting.
-    QueryObs(std::sync::mpsc::Sender<MachineSnapshot>),
+    /// Served even while the site is marked down — exactly when the flight
+    /// recorder is most interesting.
+    QueryObs(Reply<MachineSnapshot>),
     /// Process crash + restart: drop the machine, the store, and every
     /// timer, then re-open from the site's durable storage. Replies `true`
     /// when the site actually restarted from disk; a memory-backed site
     /// replies `false` and keeps its state (there is nothing to restart
     /// *from* — losing everything would be a disaster, not a crash).
-    KillRestart(std::sync::mpsc::Sender<bool>),
+    KillRestart(Reply<bool>),
     /// Stop the thread.
     Shutdown,
 }
@@ -88,7 +126,7 @@ pub struct SiteConfig {
     pub block_size: usize,
     /// Endpoint id of site 0 (clients occupy the endpoints below it).
     pub ep_base: usize,
-    /// Parity-update coalescing policy. The threaded runtime defaults to
+    /// Parity-update coalescing policy. Cluster harnesses default to
     /// [`CoalescePolicy::Merge`] (queued masks for a row XOR-merge while an
     /// update is in flight); differential harnesses pass
     /// [`CoalescePolicy::Off`] to stay message-for-message identical to the
@@ -96,7 +134,8 @@ pub struct SiteConfig {
     pub coalesce: CoalescePolicy,
     /// Storage backend: volatile memory (default) or a durable
     /// [`radd_storage::DiskBlocks`] directory that survives
-    /// [`Control::KillRestart`].
+    /// [`Control::KillRestart`] — and, for a standalone server process, a
+    /// plain `kill -9` + restart.
     pub storage: StorageSpec,
 }
 
@@ -115,7 +154,7 @@ struct SiteDriver {
 }
 
 impl SiteDriver {
-    fn interpret(&mut self, ep: &ThreadedEndpoint<Msg>, out: Vec<Effect>) {
+    fn interpret<T: Transport>(&mut self, ep: &T, out: Vec<Effect>) {
         let now = Instant::now();
         for eff in out {
             if let Some(buf) = &mut self.trace {
@@ -156,7 +195,7 @@ impl SiteDriver {
     /// partition; either way the timer re-arms with a doubled delay, so
     /// convergence only needs the loss probability to be below certainty
     /// and partitions to eventually heal.
-    fn fire_due_timers(&mut self, ep: &ThreadedEndpoint<Msg>) {
+    fn fire_due_timers<T: Transport>(&mut self, ep: &T) {
         let now = Instant::now();
         let due: Vec<u64> = self
             .timers
@@ -170,6 +209,67 @@ impl SiteDriver {
             self.machine.on_timer(tag, &mut out);
             self.interpret(ep, out);
         }
+    }
+
+    /// Feed one protocol message to the machine.
+    fn deliver<T: Transport>(&mut self, ep: &T, src: usize, msg: crate::Msg) {
+        let mut out = Vec::new();
+        self.machine.handle(&mut self.store, src, msg, &mut out);
+        // WAL rule: group-commit whatever the message staged (block
+        // writes + the durable half of the machine) *before* interpreting
+        // the effects — no ack may leave the process ahead of the log
+        // record that justifies it. A memory-backed store is a no-op.
+        if let Err(e) = self
+            .store
+            .commit(|| self.machine.durable_snapshot().encode())
+        {
+            panic!("site {}: durable commit failed: {e}", self.cfg.site);
+        }
+        self.interpret(ep, out);
+    }
+
+    /// Serve one control command. Returns `true` when it asked the site to
+    /// stop.
+    fn serve(&mut self, ctl: Control) -> bool {
+        match ctl {
+            Control::SetDown(down, ack) => {
+                self.down = down;
+                ack.send(());
+            }
+            Control::QueryDown(reply) => reply.send(self.down),
+            Control::QueryPending(reply) => reply.send(self.machine.pending_writes()),
+            Control::QueryAllAcked(reply) => reply.send(self.machine.all_acked()),
+            Control::RecordTrace(on, ack) => {
+                self.trace = if on { Some(Vec::new()) } else { None };
+                ack.send(());
+            }
+            Control::TakeTrace(reply) => {
+                reply.send(self.trace.replace(Vec::new()).unwrap_or_default());
+            }
+            Control::QueryObs(reply) => {
+                // Coalesced merges are counted inside the machine; mirror
+                // them into the gauge at snapshot time.
+                let merges = self.machine.coalesced_merges();
+                self.obs.metrics().set_coalesced_merges(merges);
+                reply.send(self.obs.snapshot(&format!("site {}", self.cfg.site)));
+            }
+            Control::KillRestart(reply) => {
+                let durable = self.store.is_durable();
+                if durable {
+                    // Crash: every volatile structure dies — the machine,
+                    // the timer wheel, any staged-but-uncommitted writes
+                    // inside the store. Restart: re-open from disk, which
+                    // replays the committed log suffix and rebuilds the
+                    // machine from the last durable snapshot (§3.4).
+                    self.timers.clear();
+                    (self.store, self.machine) = open_store(&self.cfg, &mut self.obs);
+                    self.down = false;
+                }
+                reply.send(durable);
+            }
+            Control::Shutdown => return true,
+        }
+        false
     }
 }
 
@@ -186,11 +286,12 @@ fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine
         .for_site(cfg.site)
         .open(cfg.rows, cfg.block_size)
         .unwrap_or_else(|e| panic!("site {}: cannot open durable store: {e}", cfg.site));
-    let machine = match store.meta().map(DurableSiteState::decode) {
+    let mut machine = match store.meta().map(DurableSiteState::decode) {
         Some(Ok(d)) => SiteMachine::restore_durable(&d),
         Some(Err(e)) => panic!("site {}: corrupt durable snapshot: {e}", cfg.site),
         None => SiteMachine::new(cfg.site, cfg.group_size, cfg.rows, cfg.block_size),
     };
+    machine.set_coalesce(cfg.coalesce);
     for row in store.replayed_rows() {
         obs.effect(&Effect::Read {
             row: *row,
@@ -200,11 +301,11 @@ fn open_store(cfg: &SiteConfig, obs: &mut MachineObs) -> (SiteStore, SiteMachine
     (store, machine)
 }
 
-/// Run the site event loop until shutdown.
-pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<Control>) {
+/// Run the site event loop until shutdown (by [`Control::Shutdown`] from
+/// either control plane, or the harness channel disconnecting).
+pub fn run_site<T: Transport>(cfg: SiteConfig, ep: &T, control: &Receiver<Control>) {
     let mut obs = MachineObs::new();
-    let (store, mut machine) = open_store(&cfg, &mut obs);
-    machine.set_coalesce(cfg.coalesce);
+    let (store, machine) = open_store(&cfg, &mut obs);
     let mut st = SiteDriver {
         machine,
         store,
@@ -219,78 +320,29 @@ pub fn run_site(cfg: SiteConfig, ep: &ThreadedEndpoint<Msg>, control: &Receiver<
         // protocol traffic.
         loop {
             match control.try_recv() {
-                Ok(Control::SetDown(d, ack)) => {
-                    st.down = d;
-                    let _ = ack.send(());
-                }
-                Ok(Control::QueryPending(reply)) => {
-                    let _ = reply.send(st.machine.pending_writes());
-                }
-                Ok(Control::QueryAllAcked(reply)) => {
-                    let _ = reply.send(st.machine.all_acked());
-                }
-                Ok(Control::RecordTrace(on, ack)) => {
-                    st.trace = if on { Some(Vec::new()) } else { None };
-                    let _ = ack.send(());
-                }
-                Ok(Control::TakeTrace(reply)) => {
-                    let buf = st.trace.replace(Vec::new()).unwrap_or_default();
-                    let _ = reply.send(buf);
-                }
-                Ok(Control::QueryObs(reply)) => {
-                    // Coalesced merges are counted inside the machine;
-                    // mirror them into the gauge at snapshot time.
-                    let merges = st.machine.coalesced_merges();
-                    st.obs.metrics().set_coalesced_merges(merges);
-                    let name = format!("site {}", st.cfg.site);
-                    let _ = reply.send(st.obs.snapshot(&name));
-                }
-                Ok(Control::KillRestart(reply)) => {
-                    if st.store.is_durable() {
-                        // Crash: every volatile structure dies — the
-                        // machine, the timer wheel, any staged-but-
-                        // uncommitted writes inside the store. Restart:
-                        // re-open from disk, which replays the committed
-                        // log suffix and rebuilds the machine from the
-                        // last durable snapshot (§3.4).
-                        st.timers.clear();
-                        let (store, mut machine) = open_store(&st.cfg, &mut st.obs);
-                        machine.set_coalesce(st.cfg.coalesce);
-                        st.store = store;
-                        st.machine = machine;
-                        st.down = false;
-                        let _ = reply.send(true);
-                    } else {
-                        let _ = reply.send(false);
+                Ok(ctl) => {
+                    if st.serve(ctl) {
+                        return;
                     }
                 }
-                Ok(Control::Shutdown) => return,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
             }
         }
         if !st.down {
             st.fire_due_timers(ep);
         }
-        let Ok(inbound) = ep.recv_timeout(Duration::from_millis(20)) else {
-            continue;
-        };
-        // A down site answers nothing, and its own pending acks never
-        // arrive either — exactly a crashed process from the network's
-        // point of view. (We swallow the message rather than queueing.)
-        if st.down {
-            continue;
+        match ep.recv_timeout(Duration::from_millis(20)) {
+            Some(Incoming::Control(ctl)) => {
+                if st.serve(ctl) {
+                    return;
+                }
+            }
+            // A down site answers nothing, and its own pending acks never
+            // arrive either — exactly a crashed process from the network's
+            // point of view. (We swallow the message rather than queueing.)
+            Some(Incoming::Proto { src, msg }) if !st.down => st.deliver(ep, src, msg),
+            Some(Incoming::Proto { .. }) | None => {}
         }
-        let mut out = Vec::new();
-        st.machine
-            .handle(&mut st.store, inbound.src, inbound.payload, &mut out);
-        // WAL rule: group-commit whatever the message staged (block
-        // writes + the durable half of the machine) *before* interpreting
-        // the effects — no ack may leave the process ahead of the log
-        // record that justifies it. A memory-backed store is a no-op.
-        if let Err(e) = st.store.commit(|| st.machine.durable_snapshot().encode()) {
-            panic!("site {}: durable commit failed: {e}", st.cfg.site);
-        }
-        st.interpret(ep, out);
     }
 }

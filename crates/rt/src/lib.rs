@@ -1,15 +1,15 @@
-//! # radd-rt — the socket runtime for the sans-IO RADD core
+//! # radd-rt — the socket transport for the RADD runtime
 //!
-//! The third interpreter of the protocol machines. `radd-core` drives
-//! [`radd_protocol::ClientMachine`]/[`radd_protocol::SiteMachine`] under a
-//! deterministic discrete-event simulator; `radd-node` drives them over
-//! in-process channels with real threads; this crate drives them over
+//! `radd-core` drives [`radd_protocol::ClientMachine`]/
+//! [`radd_protocol::SiteMachine`] under a deterministic discrete-event
+//! simulator; `radd-node` is the one runtime interpreter of those machines
+//! — client attempt ladder, site event loop, cluster harness, fault
+//! driver — generic over a transport. This crate is the second transport:
 //! **real TCP sockets** — one listener per site, a length-prefixed,
 //! checksummed wire codec for the protocol vocabulary, reconnect with
-//! backoff, and the same [`radd_net::RetryPolicy`] retransmission
-//! schedules the threaded runtime uses. Because every runtime interprets
-//! the same effect stream, the differential test can demand their
-//! normalised traces match **byte for byte**.
+//! backoff, and fault proxies on the path. Because every runtime
+//! interprets the same effect stream with the same code, the differential
+//! test can demand their normalised traces match **byte for byte**.
 //!
 //! Layer map:
 //!
@@ -19,16 +19,17 @@
 //!   `Hello` handshake and a small admin control protocol.
 //! * [`net`] — [`net::SocketEndpoint`]: connection management (dial on
 //!   demand, Hello attribution, reconnect with backoff), one reader thread
-//!   per connection feeding a single inbox.
-//! * [`server`] / [`client`] — the site event loop and the client library,
-//!   ported move-for-move from `radd-node` (any behavioural divergence is
-//!   a differential-trace failure).
+//!   per connection feeding a single inbox; `radd-node`'s `Transport`.
+//! * [`server`] — `radd-node`'s site loop re-exported, plus the wire
+//!   control plane: `radd-cli`'s [`CtlReq`] frames answered through the
+//!   shared [`Control`] vocabulary.
 //! * [`proxy`] — [`proxy::FaultProxy`]: a frame-aware TCP relay that
 //!   drops, partitions and duplicates *protocol* frames under a shared
 //!   [`proxy::FaultState`], so fault plans run against real connections.
-//! * [`cluster`] — [`cluster::SocketCluster`], a loopback harness with the
-//!   `NodeCluster` control surface, and [`cluster::SocketDriver`], its
-//!   [`radd_workload::faults::FaultDriver`] adapter.
+//! * [`cluster`] — [`cluster::ProxyNet`], the loopback listener and proxy
+//!   bring-up behind [`SocketCluster`] and [`SocketDriver`] (`radd-node`'s
+//!   harness and fault driver over sockets).
+//! * [`admin`] — [`CtlClient`], the operator's end of the control plane.
 //! * [`config`] — the static site-map format the standalone binaries
 //!   (`radd-server`, `radd-client`, `radd-cli`) deploy from.
 //!
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod frame;
@@ -56,10 +56,10 @@ pub mod proxy;
 pub mod server;
 
 pub use admin::CtlClient;
-pub use client::{ClientError, SocketClient};
-pub use cluster::{SocketCluster, SocketDriver};
+pub use cluster::{ProxyNet, SocketClient, SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};
 pub use net::{Inbound, SendOutcome, SocketEndpoint};
 pub use proxy::{FaultProxy, FaultState};
+pub use radd_node::ClientError;
 pub use server::{Control, SiteConfig};

@@ -1,12 +1,12 @@
-//! TCP endpoints with the [`radd_net::ThreadedEndpoint`] shape.
+//! TCP endpoints: the socket [`Transport`].
 //!
 //! A [`SocketEndpoint`] is one process's network identity: an endpoint id
 //! (clients `0..ep_base`, site `j` at `ep_base + j`), an optional listener
 //! (sites listen; clients only dial), and a table of live connections keyed
-//! by peer endpoint id. The API deliberately mirrors the threaded runtime's
-//! endpoint — `send(dst, msg)` / `recv_timeout` — so the site event loop
-//! and client attempt ladder port across runtimes with their logic (and
-//! therefore their normalised effect traces) intact.
+//! by peer endpoint id. It implements `radd-node`'s [`Transport`], so the
+//! one site event loop and client attempt ladder run over it unchanged —
+//! and therefore with the same normalised effect traces as over the
+//! threaded runtime's channels.
 //!
 //! Connection management:
 //!
@@ -31,6 +31,7 @@
 
 use crate::frame::{write_frame, Frame, FrameDecoder};
 use radd_net::RetryPolicy;
+use radd_node::{Incoming, Transport};
 use radd_protocol::Msg;
 use std::collections::HashMap;
 use std::io::Read;
@@ -74,17 +75,10 @@ pub enum Inbound {
     },
 }
 
-/// What became of one send attempt — mirrors the threaded client's
-/// classification: `Sent` covers everything a retry can fix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Written to a connection, or silently lost (dial pending/backoff,
-    /// peer not connected) — retriable.
-    Sent,
-    /// No retry can succeed (destination outside the site map, endpoint
-    /// shut down).
-    Closed,
-}
+/// What became of one send: written to a connection, or silently lost
+/// (dial pending/backoff, peer not connected) is `Sent`; a destination
+/// outside the site map or a shut-down endpoint is `Closed`.
+pub use radd_node::SendOutcome;
 
 /// Shareable write half of a connection (the read half lives in its reader
 /// thread). Writes are whole frames under the lock, so frames never
@@ -211,19 +205,17 @@ impl SocketEndpoint {
         self.id
     }
 
-    /// First site endpoint id (clients occupy `0..ep_base`).
-    pub fn ep_base(&self) -> usize {
-        self.ep_base
-    }
-
     /// Send `msg` to endpoint `dst`, dialing if needed.
     pub fn send(&self, dst: usize, msg: &Msg) -> SendOutcome {
+        self.send_frame(dst, &Frame::Proto(msg.clone()))
+    }
+
+    fn send_frame(&self, dst: usize, frame: &Frame) -> SendOutcome {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return SendOutcome::Closed;
         }
-        let frame = Frame::Proto(msg.clone());
         if let Some(w) = self.peer(dst) {
-            if w.write(&frame).is_ok() {
+            if w.write(frame).is_ok() {
                 return SendOutcome::Sent;
             }
             // Dead connection: forget it. A site destination falls through
@@ -241,7 +233,7 @@ impl SocketEndpoint {
         }
         match self.dial(site) {
             Some(w) => {
-                let _ = w.write(&frame);
+                let _ = w.write(frame);
                 SendOutcome::Sent
             }
             // Dial refused or backing off: silent loss.
@@ -300,6 +292,27 @@ impl SocketEndpoint {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
+    }
+}
+
+impl Transport for SocketEndpoint {
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    fn send(&self, dst: usize, msg: Msg) -> SendOutcome {
+        self.send_frame(dst, &Frame::Proto(msg))
+    }
+
+    /// Wire control requests come out as [`Incoming::Control`] commands
+    /// whose replies are written back to the requesting connection.
+    fn recv_timeout(&self, timeout: Duration) -> Option<Incoming> {
+        Some(match self.inbox_rx.recv_timeout(timeout).ok()? {
+            Inbound::Proto { src, msg } => Incoming::Proto { src, msg },
+            Inbound::Ctl { rid, req, reply } => {
+                Incoming::Control(crate::server::wire_control(rid, &req, reply))
+            }
+        })
     }
 }
 
@@ -438,6 +451,28 @@ mod tests {
         // reply to it is silently lost — not an error.
         assert_eq!(site.send(0, &Msg::Ack { tag: 0 }), SendOutcome::Sent);
         drop(client);
+    }
+
+    #[test]
+    fn request_fails_fast_on_an_out_of_range_destination() {
+        // A 1-site map: site index 3 maps to endpoint 4, which is beyond
+        // the site table — SendOutcome::Closed, no ladder burned.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = dead.local_addr().unwrap();
+        let ep = SocketEndpoint::client(0, 1, vec![addr]);
+        let mut io = radd_node::RetryIo::new(ep, 1);
+        io.set_policy(RetryPolicy {
+            base_ms: 500,
+            ..RetryPolicy::CLIENT_ATTEMPT
+        });
+        let started = Instant::now();
+        let reply = io.request(3, &Msg::BlockRead { row: 0, tag: 1 });
+        assert!(reply.is_none());
+        assert!(
+            started.elapsed() < Duration::from_millis(200),
+            "out-of-range destination burned the timeout ladder"
+        );
+        assert_eq!(io.obs_snapshot().metrics.send_failures, 1);
     }
 
     #[test]

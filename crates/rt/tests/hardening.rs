@@ -93,7 +93,7 @@ fn a_mid_handshake_disconnect_leaves_the_site_serving() {
 
     // The site must still serve a well-formed client end to end.
     let ep = SocketEndpoint::client(0, EP_BASE, addrs);
-    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    let mut client = SocketClient::new(ep, EP_BASE, G, ROWS, BLOCK);
     client
         .write(0, 1, &[0xCD; BLOCK])
         .expect("write still served");
@@ -119,7 +119,7 @@ fn an_oversized_length_prefix_only_costs_that_connection() {
     }
 
     let ep = SocketEndpoint::client(0, EP_BASE, addrs);
-    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    let mut client = SocketClient::new(ep, EP_BASE, G, ROWS, BLOCK);
     client
         .write(0, 2, &[0xEE; BLOCK])
         .expect("write still served");

@@ -61,7 +61,7 @@ fn spawn_sites() -> (
 
 fn fresh_client(addrs: &[SocketAddr], incarnation: u64) -> SocketClient {
     let ep = SocketEndpoint::client(0, EP_BASE, addrs.to_vec());
-    let mut client = SocketClient::new(ep, G, ROWS, BLOCK);
+    let mut client = SocketClient::new(ep, EP_BASE, G, ROWS, BLOCK);
     client.set_incarnation(incarnation);
     client
 }

@@ -67,7 +67,7 @@ fn connect(cfg: &ClusterConfig, group: usize, id: usize, downs: &[usize]) -> Soc
         cfg.clients
     );
     let ep = SocketEndpoint::client(id, cfg.ep_base(), cfg.group_sites(group));
-    let mut client = SocketClient::new(ep, cfg.g, cfg.rows, cfg.block_size);
+    let mut client = SocketClient::new(ep, cfg.ep_base(), cfg.g, cfg.rows, cfg.block_size);
     // Each process is a new incarnation of its endpoint id: salt the tag
     // space so the sites' at-most-once reply caches never replay answers
     // meant for an earlier invocation.

@@ -35,7 +35,7 @@
 //! |---|---|
 //! | [`sim`] | virtual clock, event queue, seeded RNG, the Table-1 cost model |
 //! | [`blockdev`] | in-memory disks, disk arrays, failure injection |
-//! | [`net`] | lossy links, reliable transport, partitions, a threaded network |
+//! | [`net`] | a threaded network with loss and partitions, §5 classification, retry schedules |
 //! | [`layout`] | Figure-1 placement math and §4 group assignment |
 //! | [`parity`] | XOR parity, change masks, page deltas, UIDs |
 //! | [`protocol`] | the sans-IO client/site machines both runtimes share |
@@ -46,8 +46,8 @@
 //! | [`txn`] | 2PL transactions, 2PC, the §6 commit optimisation |
 //! | [`reliability`] | MTTU/MTTF closed forms and Monte Carlo (§7.5) |
 //! | [`workload`] | access patterns, mixes, failure scenarios (§7.3–7.4) |
-//! | [`node`] | the threaded cluster: one OS thread per site, real messages |
-//! | [`rt`] | the socket runtime: framed TCP transport, fault proxies, binaries |
+//! | [`node`] | the runtime interpreter over a transport trait; the threaded cluster |
+//! | [`rt`] | the socket transport for it: framed TCP, fault proxies, binaries |
 //! | [`check`] | bounded exhaustive model checker over the protocol machines |
 
 #![forbid(unsafe_code)]

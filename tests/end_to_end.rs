@@ -1,10 +1,9 @@
 //! End-to-end integration across crates: transactions over a failing
-//! cluster, partitions with reliable delivery, storage managers feeding the
-//! §3.4 comparison, and the threaded network substrate.
+//! cluster, partitions with recovery, storage managers feeding the §3.4
+//! comparison, and the threaded network substrate.
 
-use radd::net::{LinkConfig, PartitionMap, ReliableChannel, ThreadedNet};
+use radd::net::{PartitionMap, ThreadedNet};
 use radd::prelude::*;
-use radd::sim::{SimDuration, SimTime};
 use std::time::Duration;
 
 const BLOCK: usize = 256;
@@ -73,32 +72,6 @@ fn partition_then_heal_with_recovery() {
     );
     assert_eq!(receipt.counts.formula(), "R");
     cluster.verify_parity().unwrap();
-}
-
-#[test]
-fn reliable_channel_gates_the_done_reply() {
-    // §5 + §6: the slave may reply `done` only once its parity-update
-    // messages are acknowledged; over a lossy network that takes
-    // retransmissions, and commits made before `all_acked` would be unsafe.
-    let mut ch: ReliableChannel<Vec<u8>> = ReliableChannel::new(
-        LinkConfig {
-            latency: SimDuration::from_millis(5),
-            loss_probability: 0.5,
-        },
-        SimDuration::from_millis(25),
-        1234,
-    );
-    for i in 0..10 {
-        ch.send(vec![i as u8; 64], 64);
-    }
-    assert!(!ch.all_acked(), "cannot reply done yet");
-    ch.run_until(SimTime::from_millis(3_000), SimDuration::from_millis(1));
-    assert!(ch.all_acked(), "retransmission drove everything through");
-    assert_eq!(ch.take_delivered().len(), 10, "exactly-once delivery");
-    assert!(
-        ch.forward_stats().messages_sent > 10,
-        "loss forced retransmissions"
-    );
 }
 
 #[test]
