@@ -13,18 +13,25 @@
 //!   failure and the majority side proceeds; anything else must block.
 //! * [`retry::RetryPolicy`] — the backoff schedules every wall-clock
 //!   runtime retries on.
+//! * [`faults::FaultState`] — the fault switchboard: the only holder of
+//!   loss, duplication and partition state, and the only place a
+//!   message's fate is decided. Both transports consult it once per
+//!   message — the threaded network per send, the socket runtime's fault
+//!   proxies per relayed frame.
 //! * [`threaded`] — a crossbeam-channel network for the threaded runtime
-//!   (real concurrency rather than virtual time), with silent message-loss
-//!   injection, partitions, and modelled wire time ([`Wire`]).
+//!   (real concurrency rather than virtual time), with modelled wire time
+//!   ([`Wire`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod faults;
 pub mod partition;
 pub mod retry;
 pub mod stats;
 pub mod threaded;
 
+pub use faults::{FaultState, Verdict};
 pub use partition::{PartitionMap, PartitionVerdict};
 pub use retry::RetryPolicy;
 pub use stats::NetStats;

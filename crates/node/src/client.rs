@@ -5,7 +5,7 @@
 //! [`radd_protocol::ClientMachine`]. This module supplies its
 //! [`ClientIo`], [`RetryIo`]: requests are retried with a growing
 //! per-attempt timeout before the client gives up, so lost messages (see
-//! [`crate::Network::set_loss`]) delay operations instead of failing them.
+//! [`crate::Cluster::set_loss`]) delay operations instead of failing them.
 //! Every request the client can resend is idempotent on the receiving
 //! site: reads and probes trivially, `SpareInstall` and `RestoreBlock` by
 //! overwriting with identical contents, `ParityUpdate` by the parity

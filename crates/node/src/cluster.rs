@@ -5,16 +5,16 @@
 //! client attached, and drives the sites through their [`Control`]
 //! channels: synchronous kill/revive, crash + restart, quiesce, trace and
 //! observability collection. Fault injection goes through the network's
-//! fault surface — channel drops and endpoint partitions on
-//! [`radd_net::ThreadedNet`], frame drops at the fault proxies on sockets.
-//! Endpoint numbering is the same on every network: clients at
-//! `0..ep_base`, site `j` at `ep_base + j`.
+//! one [`FaultState`] switchboard, which both transports consult once per
+//! message — per send on [`radd_net::ThreadedNet`], per relayed frame at
+//! the fault proxies on sockets. Endpoint numbering is the same on every
+//! network: clients at `0..ep_base`, site `j` at `ep_base + j`.
 
 use crate::client::Client;
 use crate::site::{run_site, Control, Reply, SiteConfig};
 use crate::transport::Network;
 use crate::Msg;
-use radd_net::{ThreadedNet, Wire};
+use radd_net::{FaultState, ThreadedNet, Wire};
 use radd_protocol::{CoalescePolicy, TraceEntry};
 use radd_storage::StorageSpec;
 use std::sync::mpsc::{self, Sender};
@@ -138,10 +138,10 @@ impl<N: Network> Cluster<N> {
         self.num_sites
     }
 
-    /// The network's fault surface (loss, partitions, and whatever else
-    /// the transport can inject).
-    pub fn faults(&self) -> &N {
-        &self.net
+    /// The network's fault switchboard: loss, duplication and partitions,
+    /// plus the counters of what it dropped and duplicated.
+    pub fn faults(&self) -> &FaultState {
+        self.net.faults()
     }
 
     /// One control round-trip with site `site`; `None` when it did not
@@ -200,19 +200,14 @@ impl<N: Network> Cluster<N> {
     /// silently (sender still sees success). `0` turns loss off. Sites
     /// converge anyway by retransmitting unacked parity updates.
     pub fn set_loss(&self, permille: u16, seed: u64) {
-        self.net.set_loss(permille, seed);
-    }
-
-    /// Messages dropped by loss injection so far.
-    pub fn dropped_messages(&self) -> u64 {
-        self.net.dropped()
+        self.faults().set_loss(permille, seed);
     }
 
     /// §5 partition: cut `site` off from the network (everything to and
     /// from it is lost; its thread keeps running). The client treats it
     /// like a down site and takes the degraded paths.
     pub fn isolate_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.ep_base + site, true);
+        self.faults().set_partitioned(self.ep_base + site, true);
         self.client.mark_down(site, true);
     }
 
@@ -221,7 +216,7 @@ impl<N: Network> Cluster<N> {
     /// not deliver while cut off. Run [`Client::recover`] afterwards to
     /// drain spares populated on its behalf during the partition.
     pub fn heal_site(&mut self, site: usize) {
-        self.net.set_partitioned(self.ep_base + site, false);
+        self.faults().set_partitioned(self.ep_base + site, false);
         self.client.mark_down(site, false);
     }
 
@@ -324,10 +319,14 @@ impl<N: Network> Cluster<N> {
 /// Wire-time knobs only the in-process network models.
 impl Cluster<ThreadedNet<Msg>> {
     /// Model wire time on every link: each send occupies the sending
-    /// thread for `latency` (see [`radd_net::ThreadedNet::set_link_latency`]).
-    /// Zero (the default) keeps sends instantaneous.
+    /// thread for `latency`, on a private [`Wire`] per endpoint (replacing
+    /// any wire attached by [`set_site_wire`](Cluster::set_site_wire)).
+    /// Zero (the default) detaches them and keeps sends instantaneous.
     pub fn set_link_latency(&self, latency: Duration) {
-        self.net.set_link_latency(latency);
+        for ep in 0..self.ep_base + self.num_sites {
+            let wire = (!latency.is_zero()).then(|| Wire::new(latency));
+            self.net.set_wire(ep, wire);
+        }
     }
 
     /// Attach (or detach with `None`) a shared transmission [`Wire`] to

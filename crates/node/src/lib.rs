@@ -7,7 +7,7 @@
 //! interpreter of the sans-IO machines for every real transport: the
 //! client, the site loop, the cluster harness and the fault driver are
 //! generic over a [`Transport`] (one endpoint) and a [`Network`] (the
-//! endpoint factory and its fault surface). This crate instantiates them
+//! endpoint factory and its fault switchboard). This crate instantiates them
 //! over in-process crossbeam channels ([`radd_net::ThreadedNet`]) as
 //! [`NodeCluster`], [`NodeClient`] and [`ThreadedDriver`]; `radd-rt`
 //! instantiates the same code over TCP sockets.
@@ -25,10 +25,13 @@
 //!   site, [`client::Client`] probes the spare site, reconstructs from
 //!   the `G` survivors with §3.3 UID validation, installs the result into
 //!   the spare, and redirects writes (W1').
-//! * The [`Cluster`] harness keeps its network's fault surface, so fault
-//!   harnesses can inject silent message loss ([`Cluster::set_loss`])
-//!   and network partitions ([`Cluster::isolate_site`]); sites absorb
-//!   both by retransmitting unacked parity updates with backoff, and
+//! * The [`Cluster`] harness drives its network's one
+//!   [`radd_net::FaultState`] switchboard ([`Cluster::faults`]), which
+//!   both transports consult once per message, so fault harnesses can
+//!   inject silent message loss ([`Cluster::set_loss`]), duplication and
+//!   network partitions ([`Cluster::isolate_site`]); sites absorb all
+//!   three by retransmitting unacked parity updates with backoff and
+//!   answering duplicates from their reply caches, and
 //!   [`Cluster::quiesce`] waits until every pending table is empty.
 //!
 //! Temporary site failures and recovery are fully supported; disk

@@ -1,11 +1,11 @@
 //! The seam between the interpreter and a network.
 //!
 //! [`Transport`] is one endpoint: send a message, wait for the next one.
-//! [`Network`] builds a cluster's endpoints and is its fault surface (loss
-//! injection, partitions). The client, the site loop, the cluster harness
-//! and the fault driver are generic over these two traits, so each runtime
-//! is one monomorphised copy of the same interpreter — static dispatch, no
-//! boxing on the send path.
+//! [`Network`] builds a cluster's endpoints and hands out the one
+//! [`FaultState`] switchboard their traffic consults. The client, the site
+//! loop, the cluster harness and the fault driver are generic over these
+//! two traits, so each runtime is one monomorphised copy of the same
+//! interpreter — static dispatch, no boxing on the send path.
 //!
 //! This crate implements both traits over [`radd_net::ThreadedNet`]'s
 //! in-process channels; `radd-rt` implements them over TCP endpoints and
@@ -13,8 +13,7 @@
 
 use crate::message::Msg;
 use crate::site::Control;
-use radd_net::threaded::NetError;
-use radd_net::{ThreadedEndpoint, ThreadedNet};
+use radd_net::{FaultState, ThreadedEndpoint, ThreadedNet};
 use std::time::Duration;
 
 /// What became of one send attempt: `Sent` covers everything a retry can
@@ -53,25 +52,22 @@ pub trait Transport {
     /// Send `msg` to endpoint `dst`.
     fn send(&self, dst: usize, msg: Msg) -> SendOutcome;
     /// The next inbound item, waiting up to `timeout`. `None` when nothing
-    /// arrived (timeout, partition, or a closed network).
+    /// arrived in time or the network is closed; a partitioned endpoint
+    /// waits out its timeout like any quiet link.
     fn recv_timeout(&self, timeout: Duration) -> Option<Incoming>;
 }
 
-/// A cluster's network: the factory for its endpoints and the fault
-/// surface the harness drives.
+/// A cluster's network: the factory for its endpoints and the holder of
+/// their fault switchboard.
 pub trait Network: Sized {
     /// The endpoint type this network hands out.
     type Endpoint: Transport + Send + 'static;
     /// Build a network of `endpoints` endpoints whose first site sits at
-    /// `ep_base`. Returns the fault surface and the endpoints in id order.
+    /// `ep_base`. Returns the network and the endpoints in id order.
     fn build(endpoints: usize, ep_base: usize) -> (Self, Vec<Self::Endpoint>);
-    /// Drop roughly `permille`/1000 of protocol messages, silently; `0`
-    /// turns loss off.
-    fn set_loss(&self, permille: u16, seed: u64);
-    /// Messages dropped by loss injection so far.
-    fn dropped(&self) -> u64;
-    /// Cut endpoint `endpoint` off from everyone (or heal it).
-    fn set_partitioned(&self, endpoint: usize, partitioned: bool);
+    /// The switchboard that decides the fate of every protocol message on
+    /// this network: loss, duplication and partitions.
+    fn faults(&self) -> &FaultState;
     /// Release whatever the network runs besides its endpoints.
     fn shutdown(&mut self);
 }
@@ -82,11 +78,11 @@ impl Transport for ThreadedEndpoint<Msg> {
     }
 
     fn send(&self, dst: usize, msg: Msg) -> SendOutcome {
+        // Loss and partitions are silent; only a missing or closed
+        // destination refuses the send.
         match ThreadedEndpoint::send(self, dst, msg) {
-            // A partitioned link refuses the send but may heal before the
-            // sender gives up — retriable, exactly like silent loss.
-            Ok(()) | Err(NetError::Partitioned | NetError::Timeout) => SendOutcome::Sent,
-            Err(NetError::Disconnected | NetError::NoSuchSite(_)) => SendOutcome::Closed,
+            Ok(()) => SendOutcome::Sent,
+            Err(_) => SendOutcome::Closed,
         }
     }
 
@@ -106,16 +102,8 @@ impl Network for ThreadedNet<Msg> {
         ThreadedNet::new(endpoints)
     }
 
-    fn set_loss(&self, permille: u16, seed: u64) {
-        ThreadedNet::set_loss(self, permille, seed);
-    }
-
-    fn dropped(&self) -> u64 {
-        ThreadedNet::dropped(self)
-    }
-
-    fn set_partitioned(&self, endpoint: usize, partitioned: bool) {
-        ThreadedNet::set_partitioned(self, endpoint, partitioned);
+    fn faults(&self) -> &FaultState {
+        ThreadedNet::faults(self)
     }
 
     /// Channels close when the last endpoint drops; nothing else runs.

@@ -12,7 +12,8 @@
 //! the shared [`FaultState`] exactly once per message.
 
 use crate::net::SocketEndpoint;
-use crate::proxy::{FaultProxy, FaultState};
+use crate::proxy::FaultProxy;
+use radd_net::FaultState;
 use radd_node::{Client, Cluster, Driver, Network};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -26,20 +27,10 @@ pub type SocketDriver = Driver<ProxyNet>;
 pub type SocketClient = Client<SocketEndpoint>;
 
 /// The socket cluster's network: one [`FaultProxy`] per site, all sharing
-/// one [`FaultState`] switchboard. Derefs to the switchboard, so loss,
-/// duplication and partition knobs are reachable from
-/// [`SocketCluster::faults`].
+/// one [`FaultState`] switchboard.
 pub struct ProxyNet {
     state: Arc<FaultState>,
     proxies: Vec<FaultProxy>,
-}
-
-impl std::ops::Deref for ProxyNet {
-    type Target = FaultState;
-
-    fn deref(&self) -> &FaultState {
-        &self.state
-    }
 }
 
 impl Network for ProxyNet {
@@ -70,16 +61,8 @@ impl Network for ProxyNet {
         (ProxyNet { state, proxies }, eps)
     }
 
-    fn set_loss(&self, permille: u16, seed: u64) {
-        self.state.set_loss(permille, seed);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.state.dropped()
-    }
-
-    fn set_partitioned(&self, endpoint: usize, partitioned: bool) {
-        self.state.set_partitioned(endpoint, partitioned);
+    fn faults(&self) -> &FaultState {
+        &self.state
     }
 
     fn shutdown(&mut self) {

@@ -24,8 +24,9 @@
 //!   control plane: `radd-cli`'s [`CtlReq`] frames answered through the
 //!   shared [`Control`] vocabulary.
 //! * [`proxy`] — [`proxy::FaultProxy`]: a frame-aware TCP relay that
-//!   drops, partitions and duplicates *protocol* frames under a shared
-//!   [`proxy::FaultState`], so fault plans run against real connections.
+//!   carries out the verdicts of `radd-net`'s shared [`FaultState`]
+//!   switchboard (drop, partition, duplicate) on *protocol* frames, so
+//!   fault plans run against real connections.
 //! * [`cluster`] — [`cluster::ProxyNet`], the loopback listener and proxy
 //!   bring-up behind [`SocketCluster`] and [`SocketDriver`] (`radd-node`'s
 //!   harness and fault driver over sockets).
@@ -60,6 +61,7 @@ pub use cluster::{ProxyNet, SocketClient, SocketCluster, SocketDriver};
 pub use config::{ClusterConfig, StorageKind};
 pub use frame::{CtlRep, CtlReq, Frame, FrameDecoder, FrameError};
 pub use net::{Inbound, SendOutcome, SocketEndpoint};
-pub use proxy::{FaultProxy, FaultState};
+pub use proxy::FaultProxy;
+pub use radd_net::FaultState;
 pub use radd_node::ClientError;
 pub use server::{Control, SiteConfig};

@@ -4,11 +4,12 @@
 //! [`FaultProxy`] fronts exactly one site: the site map handed to every
 //! endpoint points at the proxies, so each protocol frame traverses
 //! exactly one proxy — the destination site's — and is therefore subject
-//! to at most one fault decision, just as each send in the threaded
-//! runtime consults [`radd_net::ThreadedNet`]'s loss state exactly once.
-//! (Replies ride the same connection back through the same proxy; frames
-//! between two sites traverse the callee's proxy only, because the
-//! caller's own listener is not on the path.)
+//! to exactly one [`FaultState::verdict`], just as each send in the
+//! threaded runtime consults the same switchboard exactly once. (Replies
+//! ride the same connection back through the same proxy; frames between
+//! two sites traverse the callee's proxy only, because the caller's own
+//! listener is not on the path.) The proxy holds no fault state of its
+//! own: it only carries out the switchboard's verdicts.
 //!
 //! The proxy is *frame-aware*: it decodes the length-prefixed stream and
 //! drops or duplicates whole frames, never bytes, so injected faults model
@@ -19,155 +20,19 @@
 //!
 //! Endpoint attribution: a dialing endpoint announces itself with a
 //! leading [`Frame::Hello`](crate::frame::Frame::Hello); the forward pump
-//! snoops it and shares the id
-//! with the reverse pump, so both directions can evaluate partitions
-//! keyed by endpoint id (`drop` when either end is partitioned — the same
-//! rule as `ThreadedNet::set_partitioned`).
+//! snoops it and shares the id with the reverse pump, so both directions
+//! can evaluate partitions keyed by endpoint id.
 //!
 //! [`FaultPlan`]: radd_workload::FaultPlan
 
 use crate::frame::{payload_hello_id, payload_is_proto, write_frame_payload, FrameDecoder};
+use radd_net::{FaultState, Verdict};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Salt separating the duplication decision stream from the loss stream:
-/// both hash the same global counter, but a frame's dup verdict must not
-/// be a deterministic function of its loss verdict.
-const DUP_SALT: u64 = 0x00D0_00D0_00D0_00D0;
-
-/// Shared fault switchboard for every proxy in a cluster — the socket
-/// counterpart of `ThreadedNet`'s control plane.
-pub struct FaultState {
-    /// Loss probability per protocol frame, in 1/1000 units (0 = off).
-    loss_permille: AtomicU64,
-    /// Duplication probability per surviving frame, in 1/1000 units.
-    dup_permille: AtomicU64,
-    seed: AtomicU64,
-    /// One global decision counter across all proxies, so a `(seed,
-    /// permille)` pair drops a reproducible *fraction* of cluster traffic
-    /// (the exact victims depend on interleaving — the reliable layers
-    /// must converge for any loss pattern below certainty).
-    counter: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    /// Partition flags by endpoint id; a frame drops when either end is
-    /// partitioned.
-    partitioned: Mutex<Vec<bool>>,
-}
-
-impl FaultState {
-    /// A fault-free switchboard for a cluster of `endpoints` ids.
-    pub fn new(endpoints: usize) -> Arc<FaultState> {
-        Arc::new(FaultState {
-            loss_permille: AtomicU64::new(0),
-            dup_permille: AtomicU64::new(0),
-            seed: AtomicU64::new(0),
-            counter: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            partitioned: Mutex::new(vec![false; endpoints]),
-        })
-    }
-
-    /// Start dropping roughly `permille`/1000 of protocol frames, seeded.
-    /// Loss is *silent*: the sender's write succeeds, the frame never
-    /// arrives — what timer-based retransmission must absorb.
-    pub fn set_loss(&self, permille: u16, seed: u64) {
-        assert!(
-            permille < 1000,
-            "loss probability must stay below certainty"
-        );
-        self.seed.store(seed, Ordering::Relaxed);
-        self.loss_permille
-            .store(u64::from(permille), Ordering::Relaxed);
-    }
-
-    /// Start duplicating roughly `permille`/1000 of surviving protocol
-    /// frames — a stale retransmission arriving after the original, which
-    /// the receiving machines must treat idempotently.
-    pub fn set_duplication(&self, permille: u16, seed: u64) {
-        assert!(permille < 1000, "duplicating every frame would livelock");
-        self.seed.store(seed, Ordering::Relaxed);
-        self.dup_permille
-            .store(u64::from(permille), Ordering::Relaxed);
-    }
-
-    /// Cut endpoint `ep` off (frames to or from it drop at the proxy).
-    pub fn set_partitioned(&self, ep: usize, partitioned: bool) {
-        // Poison-tolerant: the vector is only ever resized/flag-flipped
-        // under the lock, so a panicking holder cannot corrupt it.
-        let mut p = self
-            .partitioned
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ep >= p.len() {
-            p.resize(ep + 1, false);
-        }
-        p[ep] = partitioned;
-    }
-
-    /// Protocol frames dropped by loss injection so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Protocol frames duplicated so far.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
-    }
-
-    fn is_partitioned(&self, ep: Option<usize>) -> bool {
-        let Some(ep) = ep else { return false };
-        self.partitioned
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(ep)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Verdict for one protocol frame from `src` to `dst` (`None` = not
-    /// yet attributed): forward, drop, or forward twice.
-    fn verdict(&self, src: Option<usize>, dst: Option<usize>) -> Verdict {
-        if self.is_partitioned(src) || self.is_partitioned(dst) {
-            return Verdict::Drop;
-        }
-        let loss = self.loss_permille.load(Ordering::Relaxed);
-        let dup = self.dup_permille.load(Ordering::Relaxed);
-        if loss == 0 && dup == 0 {
-            return Verdict::Forward;
-        }
-        let seed = self.seed.load(Ordering::Relaxed);
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        if loss > 0 && splitmix64(seed ^ n) % 1000 < loss {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return Verdict::Drop;
-        }
-        if dup > 0 && splitmix64(seed ^ DUP_SALT ^ n) % 1000 < dup {
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
-            return Verdict::Duplicate;
-        }
-        Verdict::Forward
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Forward,
-    Drop,
-    Duplicate,
-}
 
 /// A fault-injecting relay fronting one site's listener.
 pub struct FaultProxy {

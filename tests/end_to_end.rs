@@ -77,8 +77,9 @@ fn partition_then_heal_with_recovery() {
 #[test]
 fn threaded_sites_serve_remote_reads() {
     // The crossbeam-backed network: one thread per site answering block
-    // requests — real concurrency over the same substrate types.
-    #[derive(Debug)]
+    // requests — real concurrency over the same substrate types. Payloads
+    // are `Clone` because the network can be told to duplicate messages.
+    #[derive(Debug, Clone)]
     enum Msg {
         Read { block: u64, reply_to: usize },
         Value { block: u64, data: Vec<u8> },
