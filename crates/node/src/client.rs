@@ -32,7 +32,7 @@ use crate::message::Msg;
 use crate::transport::{Incoming, SendOutcome, Transport};
 use radd_net::RetryPolicy;
 use radd_obs::{MachineObs, MachineSnapshot};
-use radd_parity::xor_in_place;
+use radd_parity::xor_fold;
 use radd_protocol::obs::ObsEvent;
 use radd_protocol::{
     ClientErr, ClientIo, ClientMachine, Dest, RebuildReport, SparePolicy, TraceEntry,
@@ -48,6 +48,9 @@ const INCONSISTENT_BACKOFF: Duration = Duration::from_millis(5);
 /// Replies stashed beyond this count have their oldest entries dropped
 /// (stale duplicates, e.g. a second `WriteOk` from a retransmitted write).
 const STASH_CAP: usize = 512;
+/// Rows per wave of the [`Client::verify_parity`] sweep, before the clamp
+/// that keeps a wave's replies within half the reply stash.
+const VERIFY_WAVE_ROWS: usize = 32;
 /// Tag-space bit marking requests minted outside the protocol machine
 /// (oracle sweeps like [`Client::verify_parity`]).
 const ORACLE_TAG_BIT: u64 = 1 << 46;
@@ -459,33 +462,59 @@ impl<T: Transport> Client<T> {
         ORACLE_TAG_BIT | self.next_oracle_tag
     }
 
-    /// Verify the stripe invariant over every row by reading all blocks
-    /// (requires every site up). Returns the first violated row.
+    /// Verify the stripe invariant — formula (1): each row's parity block
+    /// is the XOR of its `G` data blocks — over every row by reading all of
+    /// its non-spare blocks (requires every site up). Returns the first
+    /// violated row in row order: `"site {s} did not answer for row {row}"`
+    /// or `"parity mismatch in row {row}"`.
+    ///
+    /// The sweep is pipelined in waves of 32 rows: every `BlockRead` of a
+    /// wave goes out as one [`RetryIo::exchange_batch`] before any reply is
+    /// awaited, and each row's data blocks are then folded into one reused
+    /// accumulator. A wave is clamped so its `rows × (num_sites − 1)`
+    /// replies fill at most half the reply stash (512 entries by default):
+    /// replies that arrive while an earlier entry is awaited never evict
+    /// each other. A down site fails the sweep after one attempt ladder,
+    /// since the batch budget short-circuits its later entries.
+    ///
+    /// This is an oracle sweep outside the [`ClientMachine`]: its requests
+    /// carry oracle tags and never enter the machine's recorded trace, so
+    /// running it leaves differential traces unchanged.
     pub fn verify_parity(&mut self) -> Result<(), String> {
         let geo = *self.machine.geometry();
-        for row in 0..geo.rows() {
-            let parity_site = geo.parity_site(row);
-            let spare_site = geo.spare_site(row);
-            let mut acc = vec![0u8; self.block_size];
-            let mut parity = vec![0u8; self.block_size];
-            for s in 0..geo.num_sites() {
-                if s == spare_site {
-                    continue;
-                }
-                let tag = self.oracle_tag();
-                match self.io.request(s, &Msg::BlockRead { row, tag }) {
-                    Some(Msg::BlockData { data, .. }) => {
-                        if s == parity_site {
-                            parity = data.to_vec();
-                        } else {
-                            xor_in_place(&mut acc, &data);
-                        }
-                    }
-                    _ => return Err(format!("site {s} did not answer for row {row}")),
+        let n = geo.num_sites();
+        let per_row = n - 1;
+        let wave_rows = VERIFY_WAVE_ROWS.min((self.io.stash_cap / 2 / per_row).max(1));
+        let mut acc = vec![0u8; self.block_size];
+        for first in (0..geo.rows()).step_by(wave_rows) {
+            let rows = first..geo.rows().min(first + wave_rows as u64);
+            let mut reqs = Vec::with_capacity(wave_rows * per_row);
+            for row in rows.clone() {
+                let spare_site = geo.spare_site(row);
+                for s in (0..n).filter(|&s| s != spare_site) {
+                    let tag = self.oracle_tag();
+                    reqs.push((s, Msg::BlockRead { row, tag }));
                 }
             }
-            if acc != parity {
-                return Err(format!("parity mismatch in row {row}"));
+            let mut replies = self.io.exchange_batch(reqs, false).into_iter();
+            for row in rows {
+                let parity_site = geo.parity_site(row);
+                let spare_site = geo.spare_site(row);
+                let mut parity = None;
+                let mut blocks = Vec::with_capacity(n - 2);
+                for s in (0..n).filter(|&s| s != spare_site) {
+                    match replies.next().expect("one reply per request") {
+                        Ok(Msg::BlockData { data, .. }) if s == parity_site => parity = Some(data),
+                        Ok(Msg::BlockData { data, .. }) => blocks.push(data),
+                        _ => return Err(format!("site {s} did not answer for row {row}")),
+                    }
+                }
+                acc.fill(0);
+                let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
+                xor_fold(&mut acc, &views);
+                if parity.as_deref() != Some(&acc[..]) {
+                    return Err(format!("parity mismatch in row {row}"));
+                }
             }
         }
         Ok(())

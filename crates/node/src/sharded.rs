@@ -355,8 +355,9 @@ impl ShardedNodeCluster {
             .collect()
     }
 
-    /// Run the stripe-invariant sweep in every group; the error names the
-    /// first failing group.
+    /// Run the stripe-invariant sweep in every group, one group after
+    /// another, each a wave-pipelined [`crate::Client::verify_parity`];
+    /// the error names the first failing group.
     pub fn verify_parity(&mut self) -> Result<(), String> {
         for (g, cluster) in self.router.groups_mut() {
             cluster
